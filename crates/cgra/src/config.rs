@@ -438,22 +438,15 @@ impl Configuration {
     /// of depth ≤ `upto_depth` (a misspeculated run pays only for the
     /// rows it actually traversed).
     pub fn exec_cycles(&self, timing: &ArrayTiming, upto_depth: u8) -> u64 {
-        timing.thirds_to_cycles(self.exec_thirds(timing, upto_depth))
-    }
-
-    /// The pre-rounding row-delay sum behind [`exec_cycles`]
-    /// (Configuration::exec_cycles): thirds of a cycle over every
-    /// traversed row. Exposed so the heat accumulator can reconcile
-    /// per-row activity against the charged cycles exactly.
-    pub fn exec_thirds(&self, timing: &ArrayTiming, upto_depth: u8) -> u64 {
         let Some(last_row) = self.last_row_at_depth(upto_depth) else {
             return 0;
         };
-        self.rows[..=last_row]
+        let thirds = self.rows[..=last_row]
             .iter()
             .filter_map(RowUsage::kind)
             .map(|k| timing.row_thirds(k))
-            .sum()
+            .sum();
+        timing.thirds_to_cycles(thirds)
     }
 
     /// Cycles to reconfigure: configuration read plus operand fetch

@@ -2,16 +2,18 @@
 //!
 //! [`FabricHeat`] is an allocation-free-in-steady-state accumulator of
 //! per-row and per-unit-class activity across array invocations. It is
-//! fed once per invocation by [`FabricHeat::record`], which derives a
-//! [`FabricSample`] from the same row state and timing queries the
-//! cycle model charges for, so the accounting reconciles *exactly* with
-//! `exec_cycles`:
+//! fed once per invocation by [`FabricHeat::record`], which derives the
+//! invocation's cycle spans and a [`FabricSample`] in the same pass
+//! over the configuration, so the accounting reconciles *exactly* with
+//! the cycles charged:
 //!
 //! **Conservation law.** For every invocation executed to `upto_depth`:
 //!
-//! * `sample.exec_cycles == config.exec_cycles(timing, upto_depth)` —
-//!   the per-row thirds summed here round to the cycles the system
-//!   charges, so across a run
+//! * the returned spans equal
+//!   `config.invocation_cycles(timing, upto_depth)` (the reference
+//!   model), and `sample.exec_cycles` equals their `exec` — the per-row
+//!   thirds summed here round to the cycles the system charges, so
+//!   across a run
 //!   `heat.exec_cycles + heat.residual_cycles` equals the system's
 //!   array-execution attribution exactly.
 //! * `busy_thirds[c] <= capacity_thirds[c]` for every unit class on
@@ -28,7 +30,7 @@
 
 use dim_mips::FuClass;
 
-use crate::config::Configuration;
+use crate::config::{Configuration, InvocationCycles};
 use crate::timing::ArrayTiming;
 
 /// Number of unit classes tracked ([`UNIT_CLASS_NAMES`]).
@@ -176,18 +178,21 @@ impl FabricHeat {
         }
     }
 
-    /// Records one array invocation executed to `upto_depth`, deriving
-    /// occupancy from the same placement state the cycle model charges
-    /// for. `residual_cycles` is the invocation's array-exec time not
-    /// produced by the row model (memory stalls + misspeculation
-    /// penalty).
+    /// Records one array invocation executed to `upto_depth` and
+    /// returns the cycles it is charged together with its fabric
+    /// sample. Both come from one pass over the ops, one over the
+    /// traversed rows and one over the write-backs, so the spans equal
+    /// [`Configuration::invocation_cycles`] by construction and the
+    /// occupancy is read from the same row state. `residual_cycles` is
+    /// the invocation's array-exec time not produced by the row model
+    /// (memory stalls + misspeculation penalty).
     pub fn record(
         &mut self,
         config: &Configuration,
         timing: &ArrayTiming,
         upto_depth: u8,
         residual_cycles: u64,
-    ) -> FabricSample {
+    ) -> (InvocationCycles, FabricSample) {
         let mut sample = FabricSample {
             residual_cycles,
             ..FabricSample::default()
@@ -204,7 +209,29 @@ impl FabricHeat {
             [0; UNIT_CLASSES]
         };
 
-        if let Some(last_row) = config.last_row_at_depth(upto_depth) {
+        // Ops: issued/squashed counts and the last row the run traverses.
+        let mut last_row: Option<usize> = None;
+        for op in config.ops() {
+            let issued = op.depth <= upto_depth;
+            if issued {
+                last_row = last_row.max(Some(op.row as usize));
+            }
+            let Some(c) = unit_class_index(op.class) else {
+                continue;
+            };
+            let heat = self.row_mut(op.row as usize);
+            if issued {
+                sample.issued_ops += 1;
+                heat.issued[c] = heat.issued[c].saturating_add(1);
+                self.issued_ops[c] = self.issued_ops[c].saturating_add(1);
+            } else {
+                sample.squashed_ops += 1;
+                heat.squashed = heat.squashed.saturating_add(1);
+            }
+        }
+
+        // Rows: windows, busy and capacity over the traversed span.
+        if let Some(last_row) = last_row {
             sample.rows = (last_row + 1) as u32;
             for occ in config.row_occupancy().take(last_row + 1) {
                 let window = occ.kind.map_or(0, |k| timing.row_thirds(k));
@@ -225,27 +252,20 @@ impl FabricHeat {
         }
         sample.exec_cycles = timing.thirds_to_cycles(sample.exec_thirds);
 
-        for op in config.ops() {
-            let Some(c) = unit_class_index(op.class) else {
-                continue;
-            };
-            let heat = self.row_mut(op.row as usize);
-            if op.depth <= upto_depth {
-                sample.issued_ops += 1;
-                heat.issued[c] = heat.issued[c].saturating_add(1);
-                self.issued_ops[c] = self.issued_ops[c].saturating_add(1);
-            } else {
-                sample.squashed_ops += 1;
-                heat.squashed = heat.squashed.saturating_add(1);
-            }
-        }
-
+        // Write-backs: those pending at a depth the run confirmed.
         sample.writeback_writes = config
             .writebacks()
             .filter(|&(_, d)| d <= upto_depth)
             .count() as u32;
-        let tail = config.writeback_tail_cycles(timing, upto_depth);
-        sample.writeback_slots = (shape.rf_write_ports.max(1) as u64) * (sample.exec_cycles + tail);
+        let ports = shape.rf_write_ports.max(1) as u64;
+        let spans = InvocationCycles {
+            stall: config.reconfig_stall_cycles(timing),
+            exec: sample.exec_cycles,
+            tail: (sample.writeback_writes as u64)
+                .div_ceil(ports)
+                .saturating_sub(sample.exec_cycles),
+        };
+        sample.writeback_slots = ports * (spans.exec + spans.tail);
 
         self.invocations = self.invocations.saturating_add(1);
         self.exec_thirds = self.exec_thirds.saturating_add(sample.exec_thirds);
@@ -261,7 +281,7 @@ impl FabricHeat {
             .writeback_writes
             .saturating_add(sample.writeback_writes as u64);
         self.writeback_slots = self.writeback_slots.saturating_add(sample.writeback_slots);
-        sample
+        (spans, sample)
     }
 
     /// Folds `other` into `self` (sweep shard aggregation). Saturating,
@@ -357,7 +377,8 @@ mod tests {
         let mut c = sample_config(shape);
         c.note_writeback(DataLoc::Gpr(Reg::T0), 0);
         let mut heat = FabricHeat::new();
-        let sample = heat.record(&c, &timing, 0, 0);
+        let (spans, sample) = heat.record(&c, &timing, 0, 0);
+        assert_eq!(spans, c.invocation_cycles(&timing, 0));
         assert_eq!(sample.exec_cycles, c.exec_cycles(&timing, 0));
         assert_eq!(sample.rows, 3);
         assert_eq!(sample.issued_ops, 3);
@@ -376,12 +397,54 @@ mod tests {
         assert_eq!(heat.rows()[0].issued, [1, 0, 0]);
     }
 
+    /// Spans match the reference at every depth, including a squashed
+    /// deeper segment, a write-back tail past the execution window and
+    /// a visible reconfiguration stall.
+    #[test]
+    fn record_spans_match_reference_at_every_depth() {
+        let timing = ArrayTiming::default();
+        let mut c = Configuration::new(0x100, ArrayShape::config1());
+        c.place(0x100, alu_inst(), 0, 0).unwrap();
+        c.finish_segment(0, None, 0x104);
+        c.place(0x104, alu_inst(), 1, 1).unwrap();
+        c.place(0x108, alu_inst(), 1, 2).unwrap();
+        c.finish_segment(1, None, 0x10c);
+        // Eight write-backs pending at depth 0 need two port cycles
+        // against a one-cycle window, and one more at depth 1 a third;
+        // nine live-ins need three fetch cycles, one more than the
+        // pipeline hides.
+        let regs = [
+            Reg::T0,
+            Reg::T1,
+            Reg::T2,
+            Reg::T3,
+            Reg::T4,
+            Reg::T5,
+            Reg::T6,
+            Reg::T7,
+            Reg::T8,
+        ];
+        for (i, &r) in regs.iter().enumerate() {
+            c.note_writeback(DataLoc::Gpr(r), u8::from(i == 8));
+            c.note_live_in(DataLoc::Gpr(r));
+        }
+        let mut heat = FabricHeat::new();
+        let (shallow, sample) = heat.record(&c, &timing, 0, 0);
+        assert_eq!(shallow, c.invocation_cycles(&timing, 0));
+        assert_eq!((sample.issued_ops, sample.squashed_ops), (1, 2));
+        assert_eq!((shallow.stall, shallow.tail), (1, 1));
+        let (deep, sample) = heat.record(&c, &timing, 1, 0);
+        assert_eq!(deep, c.invocation_cycles(&timing, 1));
+        assert_eq!((sample.issued_ops, sample.squashed_ops), (3, 0));
+        assert_eq!(heat.rows()[2].squashed, 1);
+    }
+
     #[test]
     fn infinite_shape_has_no_capacity() {
         let timing = ArrayTiming::default();
         let c = sample_config(ArrayShape::infinite());
         let mut heat = FabricHeat::new();
-        let sample = heat.record(&c, &timing, 0, 0);
+        let (_, sample) = heat.record(&c, &timing, 0, 0);
         assert_eq!(sample.capacity_thirds, 0);
         assert_eq!(heat.fabric_util(), None);
         assert!(sample.exec_cycles > 0);

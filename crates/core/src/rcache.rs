@@ -4,6 +4,7 @@
 
 use dim_cgra::Configuration;
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Replacement policy of the reconfiguration cache. The paper's cache is
 /// FIFO ("a new entry in the cache (based on FIFO) is created"); LRU is
@@ -31,25 +32,43 @@ pub struct EvictedEntry {
     pub uses: u64,
 }
 
+/// One resident entry: the shared configuration plus the bookkeeping
+/// that lives and dies with it.
+#[derive(Debug, Clone)]
+struct Slot {
+    config: Arc<Configuration>,
+    /// Lookup hits since (re-)insertion, for live-vs-dead eviction
+    /// accounting.
+    uses: u64,
+    /// `stream_ok(K)` tag: set when the entry's region matched a
+    /// streaming certificate at commit time, with the certified burst.
+    /// Purely a contract surface for the streaming executor — replay
+    /// behavior does not consult it.
+    stream_tag: Option<u32>,
+}
+
+impl Slot {
+    fn new(config: Configuration) -> Slot {
+        Slot {
+            config: Arc::new(config),
+            uses: 0,
+            stream_tag: None,
+        }
+    }
+}
+
 /// The configuration cache (FIFO by default, per the paper).
 ///
 /// The slot count is the headline capacity parameter swept in Table 2
-/// (16 / 64 / 256 slots).
+/// (16 / 64 / 256 slots). Entries are shared behind [`Arc`], so a hit
+/// hands out a pointer copy rather than a deep clone of the
+/// configuration.
 #[derive(Debug, Clone)]
 pub struct ReconfCache {
     slots: usize,
     policy: ReplacementPolicy,
-    entries: HashMap<u32, Configuration>,
+    entries: HashMap<u32, Slot>,
     order: VecDeque<u32>,
-    /// Lookup hits per resident entry since its (re-)insertion, for
-    /// live-vs-dead eviction accounting.
-    uses: HashMap<u32, u64>,
-    /// `stream_ok(K)` tags: resident entries whose region matched a
-    /// streaming certificate at commit time, with the certified burst.
-    /// Purely a contract surface for the streaming executor — replay
-    /// behavior does not consult it. A tag lives and dies with its
-    /// entry (cleared on flush, eviction and replacement).
-    stream_tags: HashMap<u32, u32>,
     hits: u64,
     misses: u64,
     insertions: u64,
@@ -73,8 +92,6 @@ impl ReconfCache {
             policy,
             entries: HashMap::new(),
             order: VecDeque::new(),
-            uses: HashMap::new(),
-            stream_tags: HashMap::new(),
             hits: 0,
             misses: 0,
             insertions: 0,
@@ -101,17 +118,19 @@ impl ReconfCache {
     }
 
     /// Looks up the configuration for `pc`, counting a hit or miss.
-    /// Under LRU, a hit refreshes the entry's recency.
-    pub fn lookup(&mut self, pc: u32) -> Option<&Configuration> {
-        match self.entries.get(&pc) {
-            Some(c) => {
+    /// Under LRU, a hit refreshes the entry's recency. A hit returns an
+    /// owned handle, so the configuration stays alive even if the entry
+    /// is evicted before the caller is done with it.
+    pub fn lookup(&mut self, pc: u32) -> Option<Arc<Configuration>> {
+        match self.entries.get_mut(&pc) {
+            Some(slot) => {
                 self.hits += 1;
-                *self.uses.entry(pc).or_insert(0) += 1;
+                slot.uses += 1;
                 if self.policy == ReplacementPolicy::Lru {
                     self.order.retain(|&p| p != pc);
                     self.order.push_back(pc);
                 }
-                Some(c)
+                Some(Arc::clone(&slot.config))
             }
             None => {
                 self.misses += 1;
@@ -122,25 +141,22 @@ impl ReconfCache {
 
     /// Peeks without touching the statistics.
     pub fn peek(&self, pc: u32) -> Option<&Configuration> {
-        self.entries.get(&pc)
+        self.entries.get(&pc).map(|slot| &*slot.config)
     }
 
     /// Inserts a configuration (keyed by its entry PC), evicting the
     /// oldest entry when full. Re-inserting an existing PC replaces the
     /// configuration without changing its FIFO position (and restarts
-    /// its reuse count — the new translation must earn its own keep).
-    /// Returns the displaced entry's identity and reuse count, if the
-    /// insert evicted one.
+    /// its reuse count and drops its stream tag — the new translation
+    /// must earn its own keep). Returns the displaced entry's identity
+    /// and reuse count, if the insert evicted one.
     pub fn insert(&mut self, config: Configuration) -> Option<EvictedEntry> {
         if self.slots == 0 {
             return None;
         }
         let pc = config.entry_pc;
         self.insertions += 1;
-        self.uses.insert(pc, 0);
-        // A replacement translation must re-earn its tag too.
-        self.stream_tags.remove(&pc);
-        if self.entries.insert(pc, config).is_some() {
+        if self.entries.insert(pc, Slot::new(config)).is_some() {
             return None;
         }
         self.order.push_back(pc);
@@ -149,18 +165,16 @@ impl ReconfCache {
             // Skip stale order entries left by flushes.
             if let Some(old) = self.order.pop_front() {
                 if let Some(victim) = self.entries.remove(&old) {
-                    let uses = self.uses.remove(&old).unwrap_or(0);
-                    self.stream_tags.remove(&old);
                     self.evictions += 1;
-                    if uses > 0 {
+                    if victim.uses > 0 {
                         self.evictions_live += 1;
                     } else {
                         self.evictions_dead += 1;
                     }
                     evicted = Some(EvictedEntry {
                         pc: old,
-                        len: victim.instruction_count() as u32,
-                        uses,
+                        len: victim.config.instruction_count() as u32,
+                        uses: victim.uses,
                     });
                 }
             }
@@ -172,8 +186,6 @@ impl ReconfCache {
     pub fn flush(&mut self, pc: u32) {
         if self.entries.remove(&pc).is_some() {
             self.flushes += 1;
-            self.uses.remove(&pc);
-            self.stream_tags.remove(&pc);
             self.order.retain(|&p| p != pc);
         }
     }
@@ -183,22 +195,27 @@ impl ReconfCache {
     /// `false` (and tags nothing) if no entry is resident at `pc` or
     /// `burst` is 0.
     pub fn tag_stream(&mut self, pc: u32, burst: u32) -> bool {
-        if burst == 0 || !self.entries.contains_key(&pc) {
-            return false;
+        match self.entries.get_mut(&pc) {
+            Some(slot) if burst > 0 => {
+                slot.stream_tag = Some(burst);
+                true
+            }
+            _ => false,
         }
-        self.stream_tags.insert(pc, burst);
-        true
     }
 
     /// The certified burst K of the entry at `pc`, if it is resident
     /// and stream-tagged.
     pub fn stream_tag(&self, pc: u32) -> Option<u32> {
-        self.stream_tags.get(&pc).copied()
+        self.entries.get(&pc).and_then(|slot| slot.stream_tag)
     }
 
     /// Number of resident stream-tagged entries.
     pub fn stream_tag_count(&self) -> usize {
-        self.stream_tags.len()
+        self.entries
+            .values()
+            .filter(|slot| slot.stream_tag.is_some())
+            .count()
     }
 
     /// `(hits, misses)` lookup counters.
@@ -235,7 +252,7 @@ impl ReconfCache {
 
     /// Iterates over the stored configurations in FIFO (insertion) order.
     pub fn iter(&self) -> impl Iterator<Item = &Configuration> + '_ {
-        self.order.iter().filter_map(|pc| self.entries.get(pc))
+        self.order.iter().filter_map(|pc| self.peek(*pc))
     }
 
     /// Restores one entry without touching any statistic — the snapshot
@@ -250,7 +267,7 @@ impl ReconfCache {
         if self.slots == 0 || self.entries.len() >= self.slots || self.entries.contains_key(&pc) {
             return false;
         }
-        self.entries.insert(pc, config);
+        self.entries.insert(pc, Slot::new(config));
         self.order.push_back(pc);
         true
     }

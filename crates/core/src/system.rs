@@ -350,7 +350,7 @@ impl System {
             if let Some(split) = self.host_split.as_deref_mut() {
                 split.enter(HostBucket::Rcache);
             }
-            let hit = self.cache.lookup(pc).cloned();
+            let hit = self.cache.lookup(pc);
             if let Some(split) = self.host_split.as_deref_mut() {
                 split.exit(HostBucket::Rcache);
             }
@@ -363,7 +363,8 @@ impl System {
                 }
                 // A cache hit interrupts any in-flight detection region.
                 // (The inserted partial may even evict the entry we are
-                // about to execute, which is why it was cloned first.)
+                // about to execute, which is why the hit holds its own
+                // handle to the configuration.)
                 if let Some(split) = self.host_split.as_deref_mut() {
                     split.enter(HostBucket::Translate);
                 }
@@ -622,13 +623,27 @@ impl System {
         self.stats.array_loads += loads as u64;
         self.stats.array_stores += stores as u64;
 
-        let spans = config.invocation_cycles(timing, executed_depth);
+        let misspec_penalty = if misspec_branch.is_some() {
+            timing.misspeculation_penalty
+        } else {
+            0
+        };
+        // One accounting pass yields the charged spans and the always-on
+        // fabric heat sample from the same placement and timing state.
+        // The stall + penalty cycles outside the row model travel as the
+        // sample's residual, so heat's cycles reconcile exactly with
+        // `array_exec_cycles`.
+        let (spans, fabric_sample) = self.fabric.record(
+            config,
+            timing,
+            executed_depth,
+            mem_stall_cycles + misspec_penalty,
+        );
+
         let mut flushed = false;
-        let mut misspec_penalty: u64 = 0;
         match misspec_branch {
             Some((branch_pc, predicted)) => {
                 self.stats.misspeculations += 1;
-                misspec_penalty = timing.misspeculation_penalty;
                 // Flush the whole configuration once the counter saturates
                 // the other way (paper §4.2), or once this configuration
                 // has misspeculated a bounded number of times in a row.
@@ -645,7 +660,10 @@ impl System {
             }
             None => {
                 self.stats.full_hits += 1;
-                self.misspec_counts.remove(&config.entry_pc);
+                // Most runs never misspeculate: skip the hash then.
+                if !self.misspec_counts.is_empty() {
+                    self.misspec_counts.remove(&config.entry_pc);
+                }
             }
         }
 
@@ -656,22 +674,6 @@ impl System {
         self.stats.reconfig_stall_cycles += spans.stall;
         self.stats.array_exec_cycles += exec_span;
         self.stats.writeback_tail_cycles += spans.tail;
-
-        // Always-on fabric heat, fed from the same placement and timing
-        // state the spans were charged from. The stall + penalty cycles
-        // outside the row model travel as the sample's residual, so
-        // heat's cycles reconcile exactly with `array_exec_cycles`.
-        let fabric_sample = self.fabric.record(
-            config,
-            timing,
-            executed_depth,
-            mem_stall_cycles + misspec_penalty,
-        );
-        debug_assert_eq!(
-            fabric_sample.exec_cycles, spans.exec,
-            "fabric sample diverged from the charged exec span for config @ {:#x}",
-            config.entry_pc
-        );
 
         if P::ENABLED || self.trace.is_some() {
             let event = ProbeEvent::ArrayInvoke(ArrayInvoke {
@@ -969,6 +971,84 @@ mod tests {
         shape.ldsts_per_row = 1;
         shape.mults_per_row = 1;
         check_equivalent(SUM_LOOP, shape, 16, true);
+    }
+
+    /// A hit interrupts an in-flight detection region, and the partial
+    /// region it commits can evict the very entry the hit is about to
+    /// replay. With one slot, the prelude falling into the inner loop
+    /// does exactly that; the replay must still run the evicted
+    /// configuration it holds and match the scalar run.
+    #[test]
+    fn hit_survives_eviction_by_its_own_partial_commit() {
+        /// Counts inserts that evict the entry whose hit is pending.
+        #[derive(Default)]
+        struct SelfEvictions {
+            pending_hit: Option<u32>,
+            count: u64,
+        }
+        impl Probe for SelfEvictions {
+            fn emit(&mut self, event: ProbeEvent) {
+                match event {
+                    ProbeEvent::RcacheHit { pc, .. } => self.pending_hit = Some(pc),
+                    ProbeEvent::RcacheInsert {
+                        evicted: Some(victim),
+                        ..
+                    } if Some(victim) == self.pending_hit => self.count += 1,
+                    ProbeEvent::ArrayInvoke(_) => self.pending_hit = None,
+                    _ => {}
+                }
+            }
+        }
+
+        let src = "
+            .data
+            buf: .space 64
+            .text
+            main:  li $s0, 12
+                   la $s1, buf
+            outer: addiu $t3, $t3, 1
+                   xor   $t4, $t3, $s0
+                   addu  $t5, $t4, $t3
+                   sll   $t6, $t5, 1
+                   addu  $t7, $t6, $t4
+                   xor   $t8, $t7, $t5
+                   addiu $t9, $t8, 3
+                   addu  $v1, $t9, $t3
+                   li    $s2, 6
+            inner: sll   $t0, $s2, 2
+                   addu  $t1, $s1, $t0
+                   addu  $t2, $v1, $s2
+                   sw    $t2, 0($t1)
+                   mult  $t2, $s0
+                   addiu $s2, $s2, -1
+                   bnez  $s2, inner
+                   mflo  $a0
+                   addu  $v0, $v0, $a0
+                   addiu $s0, $s0, -1
+                   bnez  $s0, outer
+                   break 0";
+        let (mut sys, mut base) = build(src, ArrayShape::config2(), 1, true);
+        let mut probe = SelfEvictions::default();
+        let r1 = sys.run_probed(1_000_000, &mut probe).unwrap();
+        let r2 = base.run(1_000_000).unwrap();
+        assert_eq!(r1, r2, "halt reasons differ");
+        assert!(
+            probe.count > 0,
+            "no hit was evicted by its own partial commit"
+        );
+        assert!(sys.cache().evictions() >= probe.count);
+        assert!(sys.stats().rcache_evictions_live >= probe.count);
+        for r in Reg::all() {
+            assert_eq!(sys.machine().cpu.reg(r), base.cpu.reg(r), "register {r}");
+        }
+        assert_eq!(sys.machine().cpu.hi, base.cpu.hi, "HI");
+        assert_eq!(sys.machine().cpu.lo, base.cpu.lo, "LO");
+        let buf = dim_mips::asm::DEFAULT_DATA_BASE;
+        assert_eq!(
+            sys.machine().mem.read_bytes(buf, 64),
+            base.mem.read_bytes(buf, 64)
+        );
+        assert_eq!(sys.total_instructions(), base.stats.instructions);
     }
 
     #[test]

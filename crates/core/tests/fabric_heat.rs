@@ -199,6 +199,57 @@ fn heat_conserves_on_all_bundled_workloads() {
     );
 }
 
+/// The fused accounting pass charges exactly the reference spans: for
+/// every configuration the suite commits, at every depth it can run
+/// to, `FabricHeat::record` returns `Configuration::invocation_cycles`.
+/// The run-level heat also reconciles with the charged array-exec span.
+#[test]
+fn fused_record_matches_reference_spans_on_every_committed_config() {
+    let mut checked = 0u64;
+    let mut speculative = 0u64;
+    for spec in suite() {
+        let built = (spec.build)(Scale::Small);
+        let mut system = System::new(
+            Machine::load(&built.program),
+            SystemConfig::new(ArrayShape::config2(), 64, true),
+        );
+        system.enable_commit_log();
+        system.run(built.max_steps).expect(spec.name);
+        validate(system.machine(), &built).expect(spec.name);
+
+        let heat = system.fabric_heat();
+        assert_eq!(
+            heat.exec_cycles + heat.residual_cycles,
+            system.cycle_breakdown().array_exec,
+            "{}: heat cycles diverge from the charged array-exec span",
+            spec.name
+        );
+
+        let timing = system.config().timing;
+        let mut scratch = FabricHeat::new();
+        for config in system.commit_log() {
+            for depth in 0..=config.max_depth() {
+                let (spans, sample) = scratch.record(config, &timing, depth, 0);
+                assert_eq!(
+                    spans,
+                    config.invocation_cycles(&timing, depth),
+                    "{}: config @ {:#x} depth {depth}",
+                    spec.name,
+                    config.entry_pc
+                );
+                assert_eq!(sample.exec_cycles, spans.exec);
+                checked += 1;
+                speculative += u64::from(depth > 0);
+            }
+        }
+    }
+    assert!(
+        checked > 100,
+        "only {checked} (config, depth) pairs checked"
+    );
+    assert!(speculative > 0, "no speculative depth was checked");
+}
+
 /// Merging per-shard accumulators (the sweep aggregation path) is
 /// equivalent to accumulating in one.
 #[test]

@@ -118,3 +118,47 @@ differential! {
     diff_rawaudio_enc => "rawaudio_enc",
     diff_rawaudio_dec => "rawaudio_dec",
 }
+
+/// Every kernel at small scale, with every array invocation checked
+/// against the placement-level dataflow executor and every committed
+/// configuration run through the static verifier (both panic on a
+/// defect), must match its scalar run architecturally.
+#[test]
+fn cross_checked_suite_matches_scalar_at_small_scale() {
+    for spec in suite() {
+        let built = (spec.build)(Scale::Small);
+        let mut baseline = Machine::load(&built.program);
+        let halt = baseline.run(built.max_steps).expect("baseline runs");
+
+        let mut config = SystemConfig::new(ArrayShape::config2(), 64, true);
+        config.cross_check = true;
+        config.verify_configs = true;
+        let mut sys = System::new(Machine::load(&built.program), config);
+        let accel_halt = sys
+            .run(built.max_steps)
+            .unwrap_or_else(|e| panic!("{}: accelerated run failed: {e}", spec.name));
+        assert_eq!(accel_halt, halt, "{}: halt reasons differ", spec.name);
+        assert!(
+            sys.stats().array_invocations > 0,
+            "{}: nothing was cross-checked",
+            spec.name
+        );
+        validate(sys.machine(), &built).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+        for r in Reg::all() {
+            assert_eq!(
+                sys.machine().cpu.reg(r),
+                baseline.cpu.reg(r),
+                "{}: register {r} differs",
+                spec.name
+            );
+        }
+        assert_eq!(sys.machine().cpu.hi, baseline.cpu.hi, "{}: HI", spec.name);
+        assert_eq!(sys.machine().cpu.lo, baseline.cpu.lo, "{}: LO", spec.name);
+        assert_eq!(
+            sys.total_instructions(),
+            baseline.stats.instructions,
+            "{}: retired-instruction count not conserved",
+            spec.name
+        );
+    }
+}
