@@ -1,7 +1,7 @@
 //! Steady-state cost gate for wall-clock span tracing.
 //!
 //! Runs two workloads three ways — uninstrumented, with a live
-//! [`SpanSheet`] recording the request-level spans a server would, and
+//! [`SpanSheet`] recording the per-cell spans a sweep worker does, and
 //! with the engine's [`HostSplit`] attribution enabled on top — taking
 //! the minimum wall time over several repetitions, and fails (exit 1)
 //! if the fully-instrumented configuration's overhead over the
@@ -23,7 +23,7 @@ use std::time::Instant;
 
 const WORKLOADS: [&str; 2] = ["crc32", "sha"];
 const THRESHOLD_PCT: f64 = 5.0;
-/// Matches the serve-side default sheet size.
+/// Room for every span the repetitions record, so none is dropped.
 const SPAN_CAPACITY: usize = 16_384;
 
 fn arg_value(flag: &str) -> Option<String> {
@@ -59,15 +59,15 @@ fn measure(name: &'static str, built: &BuiltBenchmark, reps: u32) -> Row {
         sys.run(built.max_steps).expect("runs");
         std::hint::black_box(sys.total_cycles());
     });
-    // What a serving worker records per request: a root plus a handful
-    // of stage spans around the simulation.
+    // What a sweep worker records per cell: a root plus stage spans
+    // around the simulation.
     let clock: SharedClock = MonotonicClock::shared();
     let sheet = SpanSheet::new(Arc::clone(&clock), SPAN_CAPACITY);
     let mut seq = 0u64;
     let spans_only = min_nanos(reps, || {
         seq += 1;
-        let root = sheet.begin_root("request", "bench", seq);
-        let exec = sheet.begin("exec", root);
+        let root = sheet.begin_root("cell", "bench", seq);
+        let exec = sheet.begin("execute", root);
         let mut sys = System::new(Machine::load(&built.program), config);
         sys.run(built.max_steps).expect("runs");
         std::hint::black_box(sys.total_cycles());
@@ -77,8 +77,8 @@ fn measure(name: &'static str, built: &BuiltBenchmark, reps: u32) -> Row {
     let mut sampled = 0u64;
     let spans_and_split = min_nanos(reps, || {
         seq += 1;
-        let root = sheet.begin_root("request", "bench", seq);
-        let exec = sheet.begin("exec", root);
+        let root = sheet.begin_root("cell", "bench", seq);
+        let exec = sheet.begin("execute", root);
         let mut sys = System::new(Machine::load(&built.program), config);
         sys.enable_host_split(Arc::clone(&clock));
         sys.run(built.max_steps).expect("runs");

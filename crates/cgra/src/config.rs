@@ -516,7 +516,7 @@ impl Configuration {
             last_depth = seg.depth;
             // A segment's branch, if any, is its last op.
             if let Some(branch) = seg.branch {
-                match self.ops.get(seg.start + seg.len - 1) {
+                match self.segment_ops(seg).last() {
                     Some(op) if op.pc == branch.pc && op.inst.is_branch() => {}
                     _ => return Err(format!("segment {k}: branch is not the last op")),
                 }

@@ -261,6 +261,19 @@ pub fn decode_config(c: &mut Cursor<'_>) -> Result<Configuration, WireError> {
             let inst = decode(word).map_err(|e| {
                 WireError::Corrupt(format!("instruction word {word:#010x} at {pc:#x}: {e}"))
             })?;
+            // The translator starts each op's search at row 0, one row
+            // below an earlier producer or at an earlier memory op's
+            // row, and moves down only past rows that earlier ops fill,
+            // so no op it places sits in a row beyond the count of ops
+            // placed before it. Checking that before `place` also
+            // bounds the row table `place` grows by the payload size,
+            // whatever row count the recorded shape claims.
+            let placed = config.ops().len();
+            if row as usize > placed {
+                return Err(WireError::Corrupt(format!(
+                    "op at {pc:#x}: recorded row {row} is beyond the {placed} op(s) placed before it"
+                )));
+            }
             let (placed_row, _) = config.place(pc, inst, depth, row as usize).map_err(|e| {
                 WireError::Corrupt(format!("placement replay at {pc:#x} row {row}: {e}"))
             })?;
@@ -359,6 +372,45 @@ mod tests {
         bytes[last4..last4 + 4].copy_from_slice(&0xffff_ffffu32.to_le_bytes());
         let mut cursor = Cursor::new(&bytes);
         assert!(decode_config(&mut cursor).is_err());
+    }
+
+    /// The last op's recorded row, pushed past the ops placed before it.
+    #[test]
+    fn row_beyond_placed_ops_rejected() {
+        let config = sample_config();
+        let mut bytes = Vec::new();
+        encode_config(&config, &mut bytes);
+        let row = bytes.len() - 4;
+        bytes[row..].copy_from_slice(&4u32.to_le_bytes());
+        let err = decode_config(&mut Cursor::new(&bytes)).unwrap_err();
+        assert!(err.to_string().contains("recorded row 4"), "{err}");
+    }
+
+    /// A segment that claims a branch but places no op decodes to an
+    /// error, not an index underflow in the validator.
+    #[test]
+    fn branch_segment_without_ops_rejected() {
+        let mut config = Configuration::new(0x40_0000, ArrayShape::config2());
+        let branch = Instruction::Branch {
+            cond: dim_mips::BranchCond::Ne,
+            rs: Reg::T1,
+            rt: Reg::ZERO,
+            offset: -3,
+        };
+        config.finish_segment(
+            0,
+            Some(SegmentBranch {
+                pc: 0x40_0008,
+                inst: branch,
+                predicted_taken: true,
+                taken_pc: 0x40_0000,
+                fall_pc: 0x40_000c,
+            }),
+            0x40_000c,
+        );
+        let mut bytes = Vec::new();
+        encode_config(&config, &mut bytes);
+        assert!(decode_config(&mut Cursor::new(&bytes)).is_err());
     }
 
     #[test]

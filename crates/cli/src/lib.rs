@@ -18,7 +18,7 @@ mod spans;
 pub use debugger::debug_session;
 
 use dim_cgra::{ArrayShape, StreamingCert};
-use dim_core::{System, SystemConfig};
+use dim_core::{System, SystemConfig, Trace};
 use dim_mips::asm::{assemble, Program};
 use dim_mips::{disassemble_labeled, image};
 use dim_mips_sim::{HaltReason, Machine, Profiler};
@@ -110,9 +110,8 @@ commands:
   top    <dir-or-status-file> [--follow]
                                      render the live telemetry published by a
                                      running sweep or accel: per-worker state,
-                                     progress, rcache hit rate, sim-MIPS, and —
-                                     for serving daemons — p99 request latency
-                                     and queue depth
+                                     progress, rcache hit rate, fabric
+                                     utilization and sim-MIPS
                                      (--follow polls until the run finishes)
   perf   record --out <f.json> [--name N] [--workloads a,b,c] [--scale S]
                 [--shape 1|2|3] [--slots N] [--no-spec] [--reps N]
@@ -145,33 +144,11 @@ commands:
                                      prove all bundled workloads
   prove  --check <f.jsonl>           re-validate a certificate file (version,
                                      checksum, structural invariants)
-  serve  --socket <path> [--jobs N] [--queue N] [--tenant-quota N]
-         [--shard-dir <dir>] [--status-dir <dir>] [--flight N]
-         [--telemetry-interval N]
-                                     persistent acceleration daemon on a Unix
-                                     socket: bounded request queue with busy
-                                     backpressure, per-tenant quotas, and
-                                     shared verifier-gated warm rcache shards
-                                     that warm-start from and drain to
-                                     <shard-dir>/*.dimrc; live telemetry in
-                                     <status-dir>/status.dimstat (dim top) and
-                                     a wall-clock span dump in
-                                     <status-dir>/spans.dimspan at drain
-                                     (dim spans)
-  serve  --selftest [--jobs N] [--clients N] [--requests N] [--bench-out <dir>]
-                                     in-process load generator against a real
-                                     daemon: cold-vs-warm ramp, latency
-                                     percentiles, and span-derived stage
-                                     breakdowns -> BENCH_serve.json (the span
-                                     dump lands beside it)
-  submit <socket> <request.file> [--json]
-                                     send one request file to a running daemon
-                                     and print the reply (see docs/serving.md)
   spans  <spans.dimspan> [--json] [--chrome-out <f.json>]
-                                     analyze a wall-clock span dump from serve
-                                     or sweep: per-stage latency percentiles,
-                                     per-tenant aggregation, the slowest
-                                     request's waterfall + critical path, and
+                                     analyze a sweep's wall-clock span dump:
+                                     per-stage latency percentiles, per-tenant
+                                     (workload) aggregation, the slowest
+                                     cell's waterfall + critical path, and
                                      engine host-time attribution; exits
                                      non-zero on span-law violations
   debug  <file> [--script <cmds>]    scriptable debugger (stdin by default)
@@ -537,9 +514,6 @@ fn cmd_accel(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
             "stream: installed {installed} certificate(s) from {path}"
         )?;
     }
-    if args.iter().any(|a| a == "--trace") {
-        system.enable_trace(64);
-    }
     let trace_out = parse_flag_value(args, "--trace-out")?;
     let telemetry = parse_telemetry_interval(args)?;
     let want_metrics = args.iter().any(|a| a == "--metrics");
@@ -568,6 +542,7 @@ fn cmd_accel(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 
     let mut metrics =
         want_metrics.then(|| MetricsRegistry::with_interval(telemetry.unwrap_or(100_000)));
+    let mut trace = args.iter().any(|a| a == "--trace").then(|| Trace::new(64));
     let mut sink: Option<FileSink> = match trace_out {
         Some(path) => {
             let mut s = open_trace_sink(path, input, system.stored_bits_per_config())?;
@@ -589,8 +564,11 @@ fn cmd_accel(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         g
     });
 
-    let halt = if metrics.is_some() || sink.is_some() || guard.is_some() {
-        let mut probe = (sink.as_mut(), (metrics.as_mut(), guard.as_mut()));
+    let halt = if metrics.is_some() || sink.is_some() || guard.is_some() || trace.is_some() {
+        let mut probe = (
+            sink.as_mut(),
+            (metrics.as_mut(), (guard.as_mut(), trace.as_mut())),
+        );
         let halt = system
             .run_probed(max_steps, &mut probe)
             .map_err(|e| CliError::new(e.to_string()))?;
@@ -653,7 +631,7 @@ fn cmd_accel(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         writeln!(out, "--- metrics ---")?;
         write!(out, "{}", metrics.render())?;
     }
-    if let Some(trace) = system.trace() {
+    if let Some(trace) = &trace {
         writeln!(out, "--- last array invocations ---")?;
         write!(out, "{trace}")?;
     }
@@ -1336,18 +1314,8 @@ fn heat_from_trace(
 fn render_status(entries: &[StatusEntry], out: &mut impl Write) -> Result<(), CliError> {
     writeln!(
         out,
-        "{:<10} {:<8} {:>9}  {:<24} {:>12} {:>14} {:>6} {:>6} {:>9} {:>8} {:>5}",
-        "source",
-        "state",
-        "done",
-        "label",
-        "retired",
-        "sim cycles",
-        "hit%",
-        "fab%",
-        "sim-MIPS",
-        "p99-us",
-        "queue"
+        "{:<10} {:<8} {:>9}  {:<24} {:>12} {:>14} {:>6} {:>6} {:>9}",
+        "source", "state", "done", "label", "retired", "sim cycles", "hit%", "fab%", "sim-MIPS"
     )?;
     for e in entries {
         let lookups = e.rcache_hits + e.rcache_misses;
@@ -1356,8 +1324,8 @@ fn render_status(entries: &[StatusEntry], out: &mut impl Write) -> Result<(), Cl
         } else {
             format!("{:.1}", 100.0 * e.rcache_hits as f64 / lookups as f64)
         };
-        // Fabric utilization: zero capacity means an infinite shape or a
-        // pre-fabric (status v1) producer — render `-`, not 0.
+        // Fabric utilization: zero capacity means an infinite shape —
+        // render `-`, not 0.
         let fab_pct = if e.fabric_capacity_thirds == 0 {
             "-".to_string()
         } else {
@@ -1373,21 +1341,9 @@ fn render_status(entries: &[StatusEntry], out: &mut impl Write) -> Result<(), Cl
             // retired / (host_nanos / 1e9) / 1e6.
             format!("{:.1}", e.retired as f64 * 1000.0 / e.host_nanos as f64)
         };
-        // Request-latency columns only apply to serving aggregates
-        // (and to status v2 files they default to 0) — render `-`.
-        let p99 = if e.latency_p99_micros == 0 {
-            "-".to_string()
-        } else {
-            e.latency_p99_micros.to_string()
-        };
-        let queue = if e.queue_depth == 0 && e.latency_p99_micros == 0 {
-            "-".to_string()
-        } else {
-            e.queue_depth.to_string()
-        };
         writeln!(
             out,
-            "{:<10} {:<8} {:>9}  {:<24} {:>12} {:>14} {:>6} {:>6} {:>9} {:>8} {:>5}",
+            "{:<10} {:<8} {:>9}  {:<24} {:>12} {:>14} {:>6} {:>6} {:>9}",
             e.source,
             e.state,
             format!("{}/{}", e.done, e.total),
@@ -1396,9 +1352,7 @@ fn render_status(entries: &[StatusEntry], out: &mut impl Write) -> Result<(), Cl
             e.sim_cycles,
             hit_pct,
             fab_pct,
-            sim_mips,
-            p99,
-            queue
+            sim_mips
         )?;
     }
     Ok(())
@@ -1454,7 +1408,7 @@ fn run_top(
             }
             // Following a live producer: the file may not exist yet (a
             // sweep still warming up), may read torn mid-rewrite, or may
-            // vanish and reappear when a daemon restarts or re-publishes.
+            // vanish and reappear when a producer restarts or re-publishes.
             // Every error kind is transient while following — retry with
             // bounded doubling backoff, and only give up after a run of
             // consecutive misses with nothing rendered in between.
@@ -2088,220 +2042,6 @@ fn cmd_prove(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parses a `--flag N` positive integer, rejecting 0 with a message
-/// naming the flag — serve's counts (jobs, queue, quota, clients,
-/// requests) all share the "at least 1" rule.
-fn parse_positive(args: &[String], flag: &str) -> Result<Option<u64>, CliError> {
-    let value: Option<u64> = parse_flag_value(args, flag)?
-        .map(|v| {
-            v.parse()
-                .map_err(|_| CliError::new(format!("{flag}: not a number")))
-        })
-        .transpose()?;
-    if value == Some(0) {
-        return Err(CliError::new(format!("{flag}: must be at least 1")));
-    }
-    Ok(value)
-}
-
-fn cmd_serve(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    check_flags(
-        "serve",
-        args,
-        &[
-            "--socket",
-            "--jobs",
-            "--queue",
-            "--tenant-quota",
-            "--shard-dir",
-            "--status-dir",
-            "--flight",
-            "--telemetry-interval",
-            "--clients",
-            "--requests",
-            "--bench-out",
-        ],
-        &["--selftest"],
-        0,
-    )?;
-    let selftest = args.iter().any(|a| a == "--selftest");
-    let daemon_only = [
-        "--socket",
-        "--queue",
-        "--tenant-quota",
-        "--shard-dir",
-        "--status-dir",
-        "--flight",
-        "--telemetry-interval",
-    ];
-    let selftest_only = ["--clients", "--requests", "--bench-out"];
-    if selftest {
-        if let Some(flag) = daemon_only
-            .iter()
-            .find(|f| args.contains(&(**f).to_string()))
-        {
-            return Err(CliError::new(format!(
-                "serve: `{flag}` does not apply to --selftest"
-            )));
-        }
-    } else if let Some(flag) = selftest_only
-        .iter()
-        .find(|f| args.contains(&(**f).to_string()))
-    {
-        return Err(CliError::new(format!(
-            "serve: `{flag}` requires --selftest"
-        )));
-    }
-    let jobs = parse_positive(args, "--jobs")?;
-
-    if selftest {
-        let mut opts = dim_serve::SelftestOptions::default();
-        if let Some(jobs) = jobs {
-            opts.jobs = jobs as usize;
-        }
-        if let Some(clients) = parse_positive(args, "--clients")? {
-            opts.clients = clients as usize;
-        }
-        if let Some(requests) = parse_positive(args, "--requests")? {
-            opts.requests_per_client = requests as usize;
-        }
-        if let Some(dir) = parse_flag_value(args, "--bench-out")? {
-            opts.bench_out = Path::new(dir).to_path_buf();
-        }
-        let report =
-            dim_serve::run_selftest(&opts).map_err(|e| CliError::new(format!("serve: {e}")))?;
-        writeln!(
-            out,
-            "selftest: {}/{} requests completed, {} busy retries, {:.1} req/s",
-            report.completed, report.requests_total, report.busy_retries, report.throughput_rps
-        )?;
-        writeln!(
-            out,
-            "selftest: ramp cold {} cycles -> warm {} cycles",
-            report.cold_cycles, report.warm_cycles
-        )?;
-        writeln!(
-            out,
-            "selftest: simulate stage cold {}ns -> warm {}ns, span laws {}",
-            report.cold_sim_nanos,
-            report.warm_sim_nanos,
-            if report.span_laws_ok {
-                "ok"
-            } else {
-                "VIOLATED"
-            }
-        )?;
-        writeln!(out, "selftest: bench -> {}", report.bench_path.display())?;
-        if !report.ok {
-            return Err(CliError::new(
-                "serve: selftest failed (incomplete requests, warm shard did not beat cold start, or span gate tripped)",
-            ));
-        }
-        return Ok(());
-    }
-
-    let socket = parse_flag_value(args, "--socket")?
-        .ok_or_else(|| CliError::new("serve: missing --socket (or use --selftest)"))?;
-    let mut opts = dim_serve::ServeOptions::new(Path::new(socket).to_path_buf());
-    if let Some(jobs) = jobs {
-        opts.jobs = jobs as usize;
-    }
-    if let Some(queue) = parse_positive(args, "--queue")? {
-        opts.queue_capacity = queue as usize;
-    }
-    if let Some(quota) = parse_positive(args, "--tenant-quota")? {
-        opts.tenant_quota = quota as usize;
-    }
-    if let Some(dir) = parse_flag_value(args, "--shard-dir")? {
-        opts.shard_dir = Some(Path::new(dir).to_path_buf());
-    }
-    if let Some(dir) = parse_flag_value(args, "--status-dir")? {
-        opts.out_dir = Some(Path::new(dir).to_path_buf());
-    }
-    if let Some(flight) = parse_flag_value(args, "--flight")? {
-        opts.flight_capacity = flight
-            .parse()
-            .map_err(|_| CliError::new("--flight: not a number"))?;
-    }
-    if let Some(interval) = parse_telemetry_interval(args)? {
-        opts.telemetry_interval = interval;
-    }
-    writeln!(out, "serve: listening on {socket} ({} workers)", opts.jobs)?;
-    out.flush()?;
-    let summary = dim_serve::serve(&opts).map_err(|e| CliError::new(e.to_string()))?;
-    for err in &summary.import_errors {
-        writeln!(out, "serve: warning: shard import skipped: {err}")?;
-    }
-    if summary.shards_imported > 0 {
-        writeln!(
-            out,
-            "serve: warm-started {} shard(s) from disk",
-            summary.shards_imported
-        )?;
-    }
-    writeln!(
-        out,
-        "serve: drained: {} submitted, {} completed, {} failed, {} busy-rejected, {} shard(s) snapshotted",
-        summary.submitted, summary.completed, summary.failed, summary.busy_rejected, summary.shards
-    )?;
-    Ok(())
-}
-
-fn cmd_submit(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    check_flags("submit", args, &[], &["--json"], 2)?;
-    let json = args.iter().any(|a| a == "--json");
-    let mut positionals = args.iter().filter(|a| !a.starts_with('-'));
-    let socket = positionals
-        .next()
-        .ok_or_else(|| CliError::new("submit: missing socket path"))?;
-    let request_file = positionals
-        .next()
-        .ok_or_else(|| CliError::new("submit: missing request file"))?;
-    let socket_path = Path::new(socket);
-    if !socket_path.exists() {
-        return Err(CliError::new(format!(
-            "submit: {socket}: no such socket (is the daemon running?)"
-        )));
-    }
-    let text = std::fs::read_to_string(request_file)
-        .map_err(|e| CliError::new(format!("{request_file}: {e}")))?;
-    let request = dim_serve::parse_request(&text)
-        .map_err(|e| CliError::new(format!("{request_file}: {e}")))?;
-    let replies = dim_serve::submit(socket_path, std::slice::from_ref(&request))
-        .map_err(|e| CliError::new(e.to_string()))?;
-    match replies.into_iter().next() {
-        Some(dim_serve::Reply::Ok { json: reply_json }) => {
-            if json {
-                writeln!(out, "{reply_json}")?;
-                return Ok(());
-            }
-            // The human-readable view: the embedded report when the
-            // command produced one, the raw object otherwise.
-            let report = dim_obs::parse_json(&reply_json)
-                .ok()
-                .as_ref()
-                .and_then(|v| v.get("report"))
-                .and_then(|v| v.as_str())
-                .map(str::to_string);
-            match report {
-                Some(report) => write!(out, "{report}")?,
-                None => writeln!(out, "{reply_json}")?,
-            }
-            Ok(())
-        }
-        Some(dim_serve::Reply::Busy {
-            retry_after_ms,
-            reason,
-        }) => Err(CliError::new(format!(
-            "submit: server busy: {reason} (retry after {retry_after_ms}ms)"
-        ))),
-        Some(dim_serve::Reply::Error { message }) => {
-            Err(CliError::new(format!("submit: {message}")))
-        }
-        None => Err(CliError::new("submit: server sent no reply")),
-    }
-}
-
 fn cmd_debug(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     let input = args
         .first()
@@ -2342,9 +2082,7 @@ pub fn dispatch(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         Some("lint") => cmd_lint(&args[1..], out),
         Some("verify") => cmd_verify(&args[1..], out),
         Some("prove") => cmd_prove(&args[1..], out),
-        Some("serve") => cmd_serve(&args[1..], out),
         Some("spans") => spans::cmd_spans(&args[1..], out),
-        Some("submit") => cmd_submit(&args[1..], out),
         Some("debug") => cmd_debug(&args[1..], out),
         Some("compare") => cmd_compare(&args[1..], out),
         Some("help") | None => {
@@ -2737,10 +2475,10 @@ mod tests {
             assert!(table.contains("done"), "{table}");
             assert!(table.contains("2/2"), "{table}");
             assert!(table.contains("worker-1"), "{table}");
-            // Request-latency columns exist but render `-` for sweep
-            // entries, which never serve requests.
-            assert!(table.contains("p99-us"), "{table}");
-            assert!(table.contains("queue"), "{table}");
+            assert!(
+                table.lines().next().unwrap().ends_with("sim-MIPS"),
+                "{table}"
+            );
         }
 
         let err = run_cli(&["top", "/nonexistent/status.dimstat"]).unwrap_err();
@@ -3394,82 +3132,6 @@ quit
             err.to_string().contains("gave up after 3 attempts"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn serve_flags_are_validated_strictly() {
-        for (args, needle) in [
-            (vec!["serve"], "missing --socket"),
-            (vec!["serve", "--jobs", "0"], "--jobs: must be at least 1"),
-            (
-                vec!["serve", "--socket", "/tmp/x.sock", "--queue", "0"],
-                "--queue: must be at least 1",
-            ),
-            (
-                vec!["serve", "--socket", "/tmp/x.sock", "--clients", "4"],
-                "requires --selftest",
-            ),
-            (
-                vec!["serve", "--selftest", "--socket", "/tmp/x.sock"],
-                "does not apply to --selftest",
-            ),
-            (vec!["serve", "--frobnicate"], "unknown flag"),
-            (vec!["submit"], "missing socket path"),
-            (vec!["submit", "/tmp/x.sock"], "missing request file"),
-            (
-                vec!["submit", "/nonexistent/dim.sock", "/nonexistent/req.toml"],
-                "no such socket",
-            ),
-        ] {
-            let err = run_cli(&args).unwrap_err();
-            assert!(err.to_string().contains(needle), "{args:?} → {err}");
-        }
-    }
-
-    #[test]
-    fn serve_daemon_accepts_a_submitted_request_file() {
-        let dir = std::env::temp_dir().join(format!("dim-cli-serve-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let socket = dir.join("dim.sock");
-        let server = {
-            let socket = socket.to_str().unwrap().to_string();
-            std::thread::spawn(move || run_cli(&["serve", "--socket", &socket, "--jobs", "1"]))
-        };
-        for _ in 0..200 {
-            if socket.exists() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        assert!(socket.exists(), "daemon socket never appeared");
-
-        let req = tmp_file("serve-req.toml", "workload = bitcount\ncommand = accel\n");
-        let report = run_cli(&["submit", socket.to_str().unwrap(), req.to_str().unwrap()]).unwrap();
-        assert!(report.contains("cycles"), "{report}");
-
-        let status_req = tmp_file("serve-status.toml", "command = status\n");
-        let status = run_cli(&[
-            "submit",
-            socket.to_str().unwrap(),
-            status_req.to_str().unwrap(),
-            "--json",
-        ])
-        .unwrap();
-        assert!(status.contains("\"completed\":1"), "{status}");
-
-        let shutdown_req = tmp_file("serve-shutdown.toml", "command = shutdown\n");
-        run_cli(&[
-            "submit",
-            socket.to_str().unwrap(),
-            shutdown_req.to_str().unwrap(),
-        ])
-        .unwrap();
-        let summary = server.join().unwrap().unwrap();
-        assert!(
-            summary.contains("drained: 1 submitted, 1 completed"),
-            "{summary}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Writes a two-request span dump driven by a fake clock, so every

@@ -1,9 +1,10 @@
 //! `dim spans`: offline analyzer for wall-clock span dumps
-//! (`spans.dimspan`) written by `dim serve` and `dim sweep`.
+//! (`spans.dimspan`) written by `dim sweep`.
 //!
 //! The analyzer never re-times anything — it works purely from the
 //! recorded monotonic-clock intervals: per-stage latency percentiles,
-//! per-tenant aggregation, the slowest request's waterfall with its
+//! per-tenant aggregation (a sweep tags each cell's tree with its
+//! workload), the slowest request's waterfall with its
 //! critical path, and the engine's host-time attribution buckets.
 //! `--json` emits the same aggregates machine-readably; `--chrome-out`
 //! exports every tree as Chrome trace events (one track per request).

@@ -47,9 +47,9 @@ pub use dim_cgra::{FabricHeat, FabricSample, RowHeat, UNIT_CLASSES, UNIT_CLASS_N
 /// file. Canonically defined (and golden-vector tested) in `dim-obs`.
 pub use dim_obs::fnv1a64;
 /// The workspace's shared magic/version/len/fnv64 framing — one helper
-/// behind `.dimrc` snapshots, `status.dimstat`, and the `dim serve`
-/// wire protocol, so the three formats cannot drift. Canonically
-/// defined (and golden-vector tested) in `dim-obs`.
+/// behind `.dimrc` snapshots and `status.dimstat`, so the two formats
+/// cannot drift. Canonically defined (and golden-vector tested) in
+/// `dim-obs`.
 pub use dim_obs::frame;
 pub use gshare::{measure_hit_rate, GsharePredictor, SpeculationPredictor};
 pub use predictor::{BimodalPredictor, Counter};

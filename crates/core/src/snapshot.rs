@@ -119,9 +119,7 @@ impl From<FrameError> for SnapshotError {
         match e {
             FrameError::BadMagic => SnapshotError::BadMagic,
             FrameError::UnsupportedVersion(v) => SnapshotError::UnsupportedVersion(v),
-            FrameError::Truncated | FrameError::Oversized { .. } => {
-                SnapshotError::Wire(WireError::Truncated)
-            }
+            FrameError::Truncated => SnapshotError::Wire(WireError::Truncated),
             FrameError::TrailingBytes(n) => SnapshotError::Wire(WireError::Corrupt(format!(
                 "{n} trailing bytes after checksum"
             ))),

@@ -9,7 +9,7 @@
 //! while the DIM hardware translates it in parallel.
 
 use crate::{
-    BimodalPredictor, CycleBreakdown, DimStats, ReconfCache, ReplacementPolicy, Trace, Translator,
+    BimodalPredictor, CycleBreakdown, DimStats, ReconfCache, ReplacementPolicy, Translator,
     TranslatorOptions,
 };
 use dim_cgra::{
@@ -120,7 +120,6 @@ pub struct System {
     host_split: Option<Box<HostSplit>>,
     stored_bits_per_config: u64,
     pub(crate) misspec_counts: HashMap<u32, u32>,
-    trace: Option<Trace>,
     commit_log: Option<Vec<Configuration>>,
     /// Installed streaming certificates, keyed by region entry PC.
     stream_certs: HashMap<u32, StreamingCert>,
@@ -153,7 +152,6 @@ impl System {
             host_split: None,
             stored_bits_per_config: stored_bits,
             misspec_counts: HashMap::new(),
-            trace: None,
             commit_log: None,
             stream_certs: HashMap::new(),
             stream_tags_applied: 0,
@@ -214,17 +212,6 @@ impl System {
     /// [`enable_commit_log`]: System::enable_commit_log
     pub fn commit_log(&self) -> &[Configuration] {
         self.commit_log.as_deref().unwrap_or(&[])
-    }
-
-    /// Enables invocation tracing, retaining the last `capacity` array
-    /// invocations (see [`Trace`]).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::new(capacity));
-    }
-
-    /// The recorded trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
     }
 
     /// The underlying machine (CPU, memory, processor-side statistics).
@@ -669,14 +656,42 @@ impl System {
 
         // The array stalls on data-cache misses and pays the flush
         // penalty inside its execution window, so both belong to the
-        // exec span — stats, trace, and probe events all see one number.
+        // exec span — stats and probe events both see one number.
         let exec_span = spans.exec + mem_stall_cycles + misspec_penalty;
         self.stats.reconfig_stall_cycles += spans.stall;
         self.stats.array_exec_cycles += exec_span;
         self.stats.writeback_tail_cycles += spans.tail;
 
-        if P::ENABLED || self.trace.is_some() {
-            let event = ProbeEvent::ArrayInvoke(ArrayInvoke {
+        if P::ENABLED {
+            if let Some((branch_pc, _)) = misspec_branch {
+                probe.emit(ProbeEvent::SpecMispredict {
+                    region_pc: config.entry_pc,
+                    region_len: config.instruction_count() as u32,
+                    branch_pc,
+                    penalty_cycles: misspec_penalty as u32,
+                });
+            }
+            if flushed {
+                probe.emit(ProbeEvent::RcacheFlush {
+                    pc: config.entry_pc,
+                    len: config.instruction_count() as u32,
+                });
+            }
+            probe.emit(ProbeEvent::Fabric(FabricUtil {
+                entry_pc: config.entry_pc,
+                rows: fabric_sample.rows,
+                exec_thirds: fabric_sample.exec_thirds as u32,
+                capacity_thirds: fabric_sample.capacity_thirds as u32,
+                alu_busy_thirds: fabric_sample.busy_thirds[0] as u32,
+                mult_busy_thirds: fabric_sample.busy_thirds[1] as u32,
+                ldst_busy_thirds: fabric_sample.busy_thirds[2] as u32,
+                issued_ops: fabric_sample.issued_ops,
+                squashed_ops: fabric_sample.squashed_ops,
+                residual_cycles: fabric_sample.residual_cycles as u32,
+                writeback_writes: fabric_sample.writeback_writes,
+                writeback_slots: fabric_sample.writeback_slots as u32,
+            }));
+            probe.emit(ProbeEvent::ArrayInvoke(ArrayInvoke {
                 entry_pc: config.entry_pc,
                 exit_pc: self.machine.cpu.pc,
                 covered: config.instruction_count() as u32,
@@ -690,41 +705,7 @@ impl System {
                 stall_cycles: spans.stall as u32,
                 exec_cycles: exec_span as u32,
                 tail_cycles: spans.tail as u32,
-            });
-            if P::ENABLED {
-                if let Some((branch_pc, _)) = misspec_branch {
-                    probe.emit(ProbeEvent::SpecMispredict {
-                        region_pc: config.entry_pc,
-                        region_len: config.instruction_count() as u32,
-                        branch_pc,
-                        penalty_cycles: misspec_penalty as u32,
-                    });
-                }
-                if flushed {
-                    probe.emit(ProbeEvent::RcacheFlush {
-                        pc: config.entry_pc,
-                        len: config.instruction_count() as u32,
-                    });
-                }
-                probe.emit(ProbeEvent::Fabric(FabricUtil {
-                    entry_pc: config.entry_pc,
-                    rows: fabric_sample.rows,
-                    exec_thirds: fabric_sample.exec_thirds as u32,
-                    capacity_thirds: fabric_sample.capacity_thirds as u32,
-                    alu_busy_thirds: fabric_sample.busy_thirds[0] as u32,
-                    mult_busy_thirds: fabric_sample.busy_thirds[1] as u32,
-                    ldst_busy_thirds: fabric_sample.busy_thirds[2] as u32,
-                    issued_ops: fabric_sample.issued_ops,
-                    squashed_ops: fabric_sample.squashed_ops,
-                    residual_cycles: fabric_sample.residual_cycles as u32,
-                    writeback_writes: fabric_sample.writeback_writes,
-                    writeback_slots: fabric_sample.writeback_slots as u32,
-                }));
-                probe.emit(event);
-            }
-            if let Some(trace) = &mut self.trace {
-                trace.emit(event);
-            }
+            }));
         }
 
         if let Some(entry) = entry_snapshot {

@@ -5,8 +5,7 @@ use dim_obs::{ArrayInvoke, Probe, ProbeEvent};
 use std::collections::VecDeque;
 use std::fmt;
 
-/// One array invocation, as recorded by [`System`](crate::System) when
-/// tracing is enabled.
+/// One array invocation, as recorded by a [`Trace`] probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Entry PC of the executed configuration.

@@ -8,7 +8,7 @@
 //! * the cycle profiler's column sums equal the total cycle count.
 
 use dim_cgra::ArrayShape;
-use dim_core::{System, SystemConfig};
+use dim_core::{System, SystemConfig, Trace};
 use dim_mips::asm::assemble;
 use dim_mips::Reg;
 use dim_mips_sim::{CacheConfig, CacheSim, Machine};
@@ -262,19 +262,19 @@ fn eviction_split_tracks_capacity_boundary() {
     );
 }
 
-/// The bounded in-memory trace sees the same events as an external sink
-/// (one event path) and reports drops in its display.
+/// The bounded in-memory trace is one more probe: fanned out beside an
+/// external sink it sees the same invocation events, keeps the last
+/// ones, and reports drops in its display.
 #[test]
 fn trace_and_probe_share_one_event_path() {
     let src = workload_src(150, 0, 1);
     let mut system = build_system(&src, 64, true, false);
-    system.enable_trace(4);
+    let mut trace = Trace::new(4);
     let mut recorder = RecordingProbe::new();
     system
-        .run_probed(MAX_INSTRUCTIONS, &mut recorder)
+        .run_probed(MAX_INSTRUCTIONS, &mut (&mut recorder, &mut trace))
         .expect("runs");
 
-    let trace = system.trace().expect("tracing enabled");
     let invocations = system.stats().array_invocations;
     assert!(invocations > 4, "workload must invoke the array repeatedly");
     assert_eq!(trace.len() as u64 + trace.dropped(), invocations);
@@ -290,7 +290,7 @@ fn trace_and_probe_share_one_event_path() {
         })
         .collect();
     let tail = &recorded[recorded.len() - trace.len()..];
-    for (traced, inv) in system.trace().unwrap().events().zip(tail) {
+    for (traced, inv) in trace.events().zip(tail) {
         assert_eq!(traced.entry_pc, inv.entry_pc);
         assert_eq!(traced.cycles, inv.total_cycles());
         assert_eq!(traced.exit_pc, inv.exit_pc);

@@ -2,7 +2,7 @@
 //!
 //! Wall-clock observability (spans, status `host_nanos`, latency
 //! percentiles) needs a time source, but scattering `Instant::now()`
-//! through serve/sweep makes the resulting artifacts untestable: every
+//! through the sweep engine makes the resulting artifacts untestable: every
 //! test asserting on recorded times becomes flaky. The [`Clock`] trait
 //! is the one seam — production code takes a [`SharedClock`] and reads
 //! [`Clock::now_nanos`]; tests inject a [`FakeClock`] and advance it

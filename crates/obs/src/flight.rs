@@ -6,7 +6,8 @@
 //! post-mortem knows both *what led up to* a failure and *how much*
 //! history the window could not hold. [`FlightRecorder::dump`] replays
 //! the retained window through the ordinary [`JsonlSink`], producing a
-//! schema-v3 trace that the `dim trace` validator accepts unchanged.
+//! trace at the current [`SCHEMA_VERSION`](crate::event::SCHEMA_VERSION)
+//! that the `dim trace` validator accepts unchanged.
 //!
 //! [`FlightGuard`] pairs a recorder with a [`Watchdog`]: the moment an
 //! invariant trips, the guard snapshots a dump — the black box is
@@ -89,7 +90,8 @@ impl FlightRecorder {
             .collect()
     }
 
-    /// Renders the retained window as a schema-v3 JSONL trace.
+    /// Renders the retained window as a JSONL trace at the current
+    /// schema version.
     ///
     /// The header carries the standard fields plus flight metadata
     /// (`flight_capacity`, `flight_total`, `flight_trimmed`, and a

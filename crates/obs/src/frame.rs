@@ -1,13 +1,10 @@
 //! The workspace's one header-framing discipline: magic, version,
 //! length, payload, FNV-1a 64 checksum.
 //!
-//! Three persisted/wire formats share this shape and must never drift
-//! apart:
+//! Both persisted formats share this shape and must never drift apart:
 //!
 //! * `.dimrc` rcache snapshots (`dim_core::SnapshotContents`) — the
 //!   binary frame with magic `DIMRC\0`;
-//! * the `dim serve` wire protocol (`dim-serve`) — the same binary
-//!   frame with magic `DIMSV\0`, one frame per message;
 //! * `status.dimstat` live telemetry ([`crate::status`]) — the *text*
 //!   frame: a JSON header line carrying magic, version and the body
 //!   checksum over a JSONL body.
@@ -33,7 +30,6 @@
 use crate::hash::fnv1a64;
 use crate::json::{parse, JsonValue, ObjectWriter};
 use std::fmt;
-use std::io::{self, Read, Write};
 
 /// Identity of one framed format: its magic bytes and the newest
 /// version this build writes (and accepts).
@@ -59,13 +55,6 @@ pub enum FrameError {
     UnsupportedVersion(u16),
     /// The bytes end before the structure they promise.
     Truncated,
-    /// The declared payload length exceeds the caller's limit.
-    Oversized {
-        /// Length the header declares.
-        declared: u64,
-        /// Maximum the caller accepts.
-        max: u64,
-    },
     /// Bytes remain after the checksum tail.
     TrailingBytes(usize),
     /// The payload does not hash to the recorded checksum.
@@ -83,12 +72,6 @@ impl fmt::Display for FrameError {
             FrameError::BadMagic => write!(f, "bad magic"),
             FrameError::UnsupportedVersion(v) => write!(f, "unsupported version {v}"),
             FrameError::Truncated => write!(f, "frame truncated"),
-            FrameError::Oversized { declared, max } => {
-                write!(
-                    f,
-                    "declared payload of {declared} bytes exceeds limit {max}"
-                )
-            }
             FrameError::TrailingBytes(n) => write!(f, "{n} trailing bytes after checksum"),
             FrameError::ChecksumMismatch { expected, actual } => write!(
                 f,
@@ -148,108 +131,6 @@ pub fn decode_frame(spec: FrameSpec, bytes: &[u8]) -> Result<(u16, &[u8]), Frame
         return Err(FrameError::ChecksumMismatch { expected, actual });
     }
     Ok((version, payload))
-}
-
-/// A [`read_frame`] failure: transport trouble or a malformed frame.
-#[derive(Debug)]
-pub enum ReadFrameError {
-    /// The underlying reader failed (including unexpected mid-frame EOF).
-    Io(io::Error),
-    /// The bytes read do not form a valid frame.
-    Frame(FrameError),
-}
-
-impl fmt::Display for ReadFrameError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReadFrameError::Io(e) => write!(f, "frame I/O error: {e}"),
-            ReadFrameError::Frame(e) => write!(f, "invalid frame: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ReadFrameError {}
-
-impl From<io::Error> for ReadFrameError {
-    fn from(e: io::Error) -> ReadFrameError {
-        ReadFrameError::Io(e)
-    }
-}
-
-impl From<FrameError> for ReadFrameError {
-    fn from(e: FrameError) -> ReadFrameError {
-        ReadFrameError::Frame(e)
-    }
-}
-
-/// Writes one binary frame to a stream.
-///
-/// # Errors
-///
-/// Propagates the writer's I/O errors.
-pub fn write_frame(spec: FrameSpec, w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&encode_frame(spec, payload))?;
-    w.flush()
-}
-
-/// Reads one binary frame from a stream, returning its payload —
-/// or `None` on a clean end-of-stream at a frame boundary.
-///
-/// `max_payload` bounds the allocation a corrupt length field can
-/// request.
-///
-/// # Errors
-///
-/// [`ReadFrameError`] on transport failure, mid-frame EOF, or an
-/// invalid frame.
-pub fn read_frame(
-    spec: FrameSpec,
-    r: &mut impl Read,
-    max_payload: u64,
-) -> Result<Option<Vec<u8>>, ReadFrameError> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    // A clean EOF before the first header byte ends the stream; EOF
-    // anywhere inside a frame is an error.
-    let mut filled = 0;
-    while filled < header.len() {
-        let n = r.read(&mut header[filled..])?;
-        if n == 0 {
-            if filled == 0 {
-                return Ok(None);
-            }
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "end of stream inside a frame header",
-            )
-            .into());
-        }
-        filled += n;
-    }
-    if &header[..6] != spec.magic {
-        return Err(FrameError::BadMagic.into());
-    }
-    let version = u16::from_le_bytes(header[6..8].try_into().unwrap());
-    if version > spec.version {
-        return Err(FrameError::UnsupportedVersion(version).into());
-    }
-    let len = u64::from_le_bytes(header[8..16].try_into().unwrap());
-    if len > max_payload {
-        return Err(FrameError::Oversized {
-            declared: len,
-            max: max_payload,
-        }
-        .into());
-    }
-    let mut rest = vec![0u8; len as usize + 8];
-    r.read_exact(&mut rest)?;
-    let payload_len = len as usize;
-    let expected = u64::from_le_bytes(rest[payload_len..].try_into().unwrap());
-    let actual = fnv1a64(&rest[..payload_len]);
-    if expected != actual {
-        return Err(FrameError::ChecksumMismatch { expected, actual }.into());
-    }
-    rest.truncate(payload_len);
-    Ok(Some(rest))
 }
 
 /// Why a text frame could not be parsed.
@@ -349,9 +230,8 @@ mod tests {
         version: 3,
     };
 
-    /// Golden vector: the binary layout is a compatibility surface for
-    /// `.dimrc` and the serve wire protocol — changing it is a format
-    /// break for both at once.
+    /// Golden vector: the binary layout is the `.dimrc` compatibility
+    /// surface — changing it is a format break.
     #[test]
     fn binary_golden_vector() {
         let frame = encode_frame(SPEC, b"abc");
@@ -411,43 +291,6 @@ mod tests {
                 "prefix of {len} bytes decoded"
             );
         }
-    }
-
-    #[test]
-    fn stream_roundtrip_and_clean_eof() {
-        let mut buf = Vec::new();
-        write_frame(SPEC, &mut buf, b"first").unwrap();
-        write_frame(SPEC, &mut buf, b"second").unwrap();
-        let mut cursor = io::Cursor::new(buf);
-        assert_eq!(
-            read_frame(SPEC, &mut cursor, 1024).unwrap().as_deref(),
-            Some(b"first".as_slice())
-        );
-        assert_eq!(
-            read_frame(SPEC, &mut cursor, 1024).unwrap().as_deref(),
-            Some(b"second".as_slice())
-        );
-        assert!(read_frame(SPEC, &mut cursor, 1024).unwrap().is_none());
-    }
-
-    #[test]
-    fn stream_rejects_midframe_eof_and_oversize() {
-        let frame = encode_frame(SPEC, b"payload");
-        for len in 1..frame.len() {
-            let mut cursor = io::Cursor::new(frame[..len].to_vec());
-            assert!(
-                read_frame(SPEC, &mut cursor, 1024).is_err(),
-                "stream prefix of {len} bytes read"
-            );
-        }
-        let mut cursor = io::Cursor::new(frame);
-        assert!(matches!(
-            read_frame(SPEC, &mut cursor, 3),
-            Err(ReadFrameError::Frame(FrameError::Oversized {
-                declared: 7,
-                max: 3
-            }))
-        ));
     }
 
     /// Golden vector for the text frame: this exact header line is what

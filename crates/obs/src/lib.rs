@@ -24,7 +24,7 @@
 //!
 //! * [`FlightRecorder`] — a fixed-capacity, allocation-free ring of the
 //!   last N events with per-kind drop accounting, dumpable as a valid
-//!   schema-v3 trace at any moment;
+//!   trace at the current schema version at any moment;
 //! * [`Watchdog`] — an online invariant checker (cycle conservation,
 //!   rcache occupancy, hit-without-insert, monotonic cycle counter)
 //!   that latches a precise [`Violation`]; [`FlightGuard`] pairs the

@@ -2,9 +2,9 @@
 //!
 //! Everything the other observability layers measure is *simulated*
 //! cycles. Spans measure the other axis: where real host time goes
-//! while a request or sweep cell moves through the pipeline —
-//! queue wait vs. warm start vs. execution, and inside the engine,
-//! fetch/decode vs. translation vs. rcache vs. array replay.
+//! while a sweep cell moves through the pipeline — warm start vs.
+//! execution, and inside the engine, fetch/decode vs. translation vs.
+//! rcache vs. array replay.
 //!
 //! The recording side is allocation-free after construction: a
 //! [`SpanSheet`] preallocates a fixed number of [span records](SpanId)
@@ -103,10 +103,9 @@ struct SheetInner {
 /// A fixed-capacity, thread-shared recorder of wall-clock spans.
 ///
 /// `begin`/`end` take `&self` (a mutex guards the records), so one
-/// sheet is shared by the serve listener, dispatcher and workers, or
-/// by every sweep worker. All operations are allocation-free once the
-/// sheet is constructed; when capacity runs out the sheet counts drops
-/// instead of growing.
+/// sheet is shared by every sweep worker. All operations are
+/// allocation-free once the sheet is constructed; when capacity runs
+/// out the sheet counts drops instead of growing.
 #[derive(Debug)]
 pub struct SpanSheet {
     clock: SharedClock,
@@ -128,7 +127,7 @@ impl SpanSheet {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, SheetInner> {
-        // A worker panicking mid-request must not take span recording
+        // A worker panicking mid-cell must not take span recording
         // down with it; the records themselves stay well-formed.
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -536,7 +535,7 @@ pub struct ParsedSpan {
     pub id: u64,
     /// Parent span id; 0 for roots.
     pub parent: u64,
-    /// Stage name (`request`, `queue_wait`, `exec`, …).
+    /// Stage name (`cell`, `warm_load`, `execute`, …).
     pub stage: String,
     /// Tenant label (roots only; empty otherwise).
     pub tenant: String,
@@ -877,9 +876,8 @@ impl SpanForest {
     }
 }
 
-/// Nearest-rank percentile over an ascending-sorted slice (the same
-/// rule `dim serve --selftest` uses for latencies). Returns 0 for an
-/// empty slice.
+/// Nearest-rank percentile over an ascending-sorted slice. Returns 0
+/// for an empty slice.
 #[must_use]
 pub fn percentile_nanos(sorted: &[u64], pct: usize) -> u64 {
     if sorted.is_empty() {

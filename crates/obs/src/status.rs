@@ -27,15 +27,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Magic string identifying a status file header.
 pub const STATUS_MAGIC: &str = "DIMSTAT";
-/// Current status-file format version.
+/// Current status-file format version, the only one readers accept.
 ///
-/// History: **1** — initial entry vocabulary; **2** — adds the
-/// `fabric_busy_thirds`/`fabric_capacity_thirds` pair feeding the
-/// `dim top` fabric-utilization column; **3** — adds the span-derived
-/// `latency_p99_micros`/`queue_depth` pair feeding the `dim top` p99
-/// and queue columns. Readers accept older versions (the new fields
-/// default to 0) and reject newer ones.
-pub const STATUS_VERSION: u64 = 3;
+/// A status file describes a run in progress and no run outlives the
+/// build that wrote it, so there is nothing older to read: version 4
+/// dropped the request-latency and queue-depth fields of version 3.
+pub const STATUS_VERSION: u64 = 4;
 /// Conventional file name, appended when a directory is given.
 pub const STATUS_FILE_NAME: &str = "status.dimstat";
 
@@ -46,7 +43,7 @@ pub enum StatusError {
     Io(io::Error),
     /// The header is missing the `DIMSTAT` magic.
     BadMagic,
-    /// The header declares a version newer than this reader.
+    /// The header declares a version other than [`STATUS_VERSION`].
     UnsupportedVersion(u64),
     /// The body does not hash to the header's checksum (torn write).
     ChecksumMismatch,
@@ -60,7 +57,11 @@ impl fmt::Display for StatusError {
             StatusError::Io(e) => write!(f, "status file I/O error: {e}"),
             StatusError::BadMagic => write!(f, "not a status file (bad magic)"),
             StatusError::UnsupportedVersion(v) => {
-                write!(f, "status file version {v} is newer than this reader")
+                write!(
+                    f,
+                    "status file version {v} is unsupported (this build reads version \
+                     {STATUS_VERSION} only)"
+                )
             }
             StatusError::ChecksumMismatch => {
                 write!(f, "status file body checksum mismatch (torn write?)")
@@ -116,19 +117,11 @@ pub struct StatusEntry {
     pub misspeculations: u64,
     /// Host nanoseconds spent so far (basis for live sim-MIPS).
     pub host_nanos: u64,
-    /// Busy fabric unit-thirds so far (version 2; 0 when read from a
-    /// version-1 file).
+    /// Busy fabric unit-thirds so far.
     pub fabric_busy_thirds: u64,
-    /// Available fabric unit-thirds so far (version 2; 0 when read from
-    /// a version-1 file or on infinite shapes — utilization unknown).
+    /// Available fabric unit-thirds so far (0 on infinite shapes —
+    /// utilization unknown).
     pub fabric_capacity_thirds: u64,
-    /// p99 request latency in microseconds over recent completions
-    /// (version 3; serve aggregate only — 0 elsewhere or when read
-    /// from an older file).
-    pub latency_p99_micros: u64,
-    /// Requests currently queued awaiting dispatch (version 3; serve
-    /// aggregate only — 0 elsewhere or when read from an older file).
-    pub queue_depth: u64,
 }
 
 impl StatusEntry {
@@ -148,8 +141,6 @@ impl StatusEntry {
         o.field_u64("host_nanos", self.host_nanos);
         o.field_u64("fabric_busy_thirds", self.fabric_busy_thirds);
         o.field_u64("fabric_capacity_thirds", self.fabric_capacity_thirds);
-        o.field_u64("latency_p99_micros", self.latency_p99_micros);
-        o.field_u64("queue_depth", self.queue_depth);
         o.finish()
     }
 
@@ -168,12 +159,6 @@ impl StatusEntry {
                 StatusError::Malformed(format!("line {line}: missing number `{key}`"))
             })
         };
-        let get_u64_or = |key: &str, default: u64| -> u64 {
-            value
-                .get(key)
-                .and_then(JsonValue::as_u64)
-                .unwrap_or(default)
-        };
         Ok(StatusEntry {
             source: get_str("source")?,
             label: get_str("label")?,
@@ -187,12 +172,8 @@ impl StatusEntry {
             rcache_misses: get_u64("rcache_misses")?,
             misspeculations: get_u64("misspeculations")?,
             host_nanos: get_u64("host_nanos")?,
-            // Version-2 fields: default when reading a version-1 file.
-            fabric_busy_thirds: get_u64_or("fabric_busy_thirds", 0),
-            fabric_capacity_thirds: get_u64_or("fabric_capacity_thirds", 0),
-            // Version-3 fields: default when reading an older file.
-            latency_p99_micros: get_u64_or("latency_p99_micros", 0),
-            queue_depth: get_u64_or("queue_depth", 0),
+            fabric_busy_thirds: get_u64("fabric_busy_thirds")?,
+            fabric_capacity_thirds: get_u64("fabric_capacity_thirds")?,
         })
     }
 }
@@ -227,6 +208,13 @@ impl StatusFile {
     /// the body checksum.
     pub fn parse(text: &str) -> Result<StatusFile, StatusError> {
         let (header, body) = parse_text_frame(STATUS_MAGIC, STATUS_VERSION, text)?;
+        if let Some(v) = header
+            .get("version")
+            .and_then(JsonValue::as_u64)
+            .filter(|&v| v != STATUS_VERSION)
+        {
+            return Err(StatusError::UnsupportedVersion(v));
+        }
         let count = header
             .get("entries")
             .and_then(JsonValue::as_u64)
@@ -308,7 +296,7 @@ impl<F: FnMut(&StatusEntry)> StatusPulse<F> {
     }
 
     /// Like [`new`](StatusPulse::new) with an injected clock, so hosts
-    /// that already carry a [`SharedClock`] (serve, sweep) report
+    /// that already carry a [`SharedClock`] (a sweep) report
     /// `host_nanos` on the same timebase as their spans — and tests
     /// can drive a deterministic fake.
     pub fn with_clock(
@@ -397,8 +385,6 @@ mod tests {
                     host_nanos: 5_000_000,
                     fabric_busy_thirds: 900,
                     fabric_capacity_thirds: 3_000,
-                    latency_p99_micros: 850,
-                    queue_depth: 3,
                 },
                 StatusEntry {
                     source: "worker-0".into(),
@@ -441,23 +427,23 @@ mod tests {
         ));
     }
 
-    /// Version-2 files (no `latency_p99_micros`/`queue_depth`) still
-    /// read, with the new fields defaulting to 0.
+    /// Only the current version reads: an older file is rejected, not
+    /// read with defaults.
     #[test]
-    fn reads_version_2_files_with_defaults() {
-        let body = "{\"source\":\"serve\",\"label\":\"\",\"state\":\"running\",\"done\":1,\
-                    \"total\":2,\"retired\":10,\"sim_cycles\":20,\"invocations\":0,\
-                    \"rcache_hits\":0,\"rcache_misses\":0,\"misspeculations\":0,\
-                    \"host_nanos\":99,\"fabric_busy_thirds\":1,\"fabric_capacity_thirds\":3}\n";
-        let text = format!(
-            "{{\"type\":\"status_header\",\"magic\":\"DIMSTAT\",\"version\":2,\
-             \"entries\":1,\"body_fnv64\":\"{:016x}\"}}\n{body}",
-            fnv1a64(body.as_bytes())
+    fn rejects_older_version() {
+        let mut status = sample();
+        status.entries.truncate(1);
+        let current = status.render();
+        let older = current.replacen(
+            &format!("\"version\":{STATUS_VERSION}"),
+            &format!("\"version\":{}", STATUS_VERSION - 1),
+            1,
         );
-        let parsed = StatusFile::parse(&text).expect("v2 parses");
-        assert_eq!(parsed.entries[0].latency_p99_micros, 0);
-        assert_eq!(parsed.entries[0].queue_depth, 0);
-        assert_eq!(parsed.entries[0].fabric_capacity_thirds, 3);
+        assert_ne!(older, current);
+        assert!(matches!(
+            StatusFile::parse(&older),
+            Err(StatusError::UnsupportedVersion(v)) if v == STATUS_VERSION - 1
+        ));
     }
 
     #[test]
@@ -496,7 +482,7 @@ mod tests {
             .map(|e| format!("{}\n", e.to_json()))
             .collect();
         let text = format!(
-            "{{\"type\":\"status_header\",\"magic\":\"DIMSTAT\",\"version\":1,\
+            "{{\"type\":\"status_header\",\"magic\":\"DIMSTAT\",\"version\":{STATUS_VERSION},\
              \"entries\":99,\"body_fnv64\":\"{:016x}\"}}\n{body}",
             fnv1a64(body.as_bytes())
         );

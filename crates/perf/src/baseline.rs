@@ -98,8 +98,8 @@ pub struct HostTelemetry {
     pub wall_nanos_mean: f64,
     /// Repetitions measured.
     pub reps: u32,
-    /// Millions of simulated instructions retired per host second,
-    /// computed from the fastest repetition.
+    /// Millions of simulated instructions retired (on the pipeline and
+    /// the array) per host second, computed from the fastest repetition.
     pub sim_mips: f64,
     /// Peak resident set size of the recording process in bytes
     /// (0 when the platform does not expose it).

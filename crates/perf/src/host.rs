@@ -15,12 +15,14 @@ pub fn peak_rss_bytes() -> Option<u64> {
 ///
 /// The standard simulator-throughput figure: how much simulated work the
 /// host gets through, independent of what the simulated cycles say.
-pub fn sim_mips(retired_instructions: u64, wall_nanos: u64) -> f64 {
+/// Callers pass every architecturally retired instruction, those the
+/// array executed included (`System::total_instructions`).
+pub fn sim_mips(instructions: u64, wall_nanos: u64) -> f64 {
     if wall_nanos == 0 {
         return 0.0;
     }
     let seconds = wall_nanos as f64 / 1e9;
-    retired_instructions as f64 / seconds / 1e6
+    instructions as f64 / seconds / 1e6
 }
 
 #[cfg(test)]

@@ -135,6 +135,10 @@ pub fn record(opts: &RecordOptions) -> Result<Baseline, PerfError> {
         let wall_min = wall.iter().copied().min().expect("reps >= 1");
         let wall_mean = wall.iter().sum::<u64>() as f64 / wall.len() as f64;
         let retired = run.system.machine().stats.instructions;
+        // Throughput counts every architecturally retired instruction,
+        // on the pipeline and on the array alike; `retired` stays the
+        // pipeline-only count the gate compares.
+        let instructions = run.system.total_instructions();
 
         // One traced run reconstructs the per-region footprint; the
         // simulator is deterministic, so it sees exactly the run the
@@ -185,7 +189,7 @@ pub fn record(opts: &RecordOptions) -> Result<Baseline, PerfError> {
                 wall_nanos_min: wall_min,
                 wall_nanos_mean: wall_mean,
                 reps,
-                sim_mips: sim_mips(retired, wall_min),
+                sim_mips: sim_mips(instructions, wall_min),
                 peak_rss_bytes: peak_rss_bytes().unwrap_or(0),
             },
             regions,
@@ -239,4 +243,38 @@ pub fn bench_perf_json(baseline: &Baseline) -> String {
     );
     o.field_raw("per_workload", &per);
     o.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dim_core::System;
+    use dim_mips_sim::Machine;
+
+    /// sim-MIPS divides the instructions retired on the pipeline *and*
+    /// the array by the fastest wall time, not the pipeline-only count.
+    #[test]
+    fn sim_mips_counts_array_instructions() {
+        let opts = RecordOptions {
+            name: "numerator".into(),
+            workloads: vec!["crc32".into()],
+            scale: "tiny".into(),
+            shape: 2,
+            cache_slots: 64,
+            speculation: true,
+            host_reps: 1,
+        };
+        let w = record(&opts).expect("records").workloads.remove(0);
+
+        let built = (by_name("crc32").unwrap().build)(Scale::Tiny);
+        let mut system = System::new(
+            Machine::load(&built.program),
+            SystemConfig::new(ArrayShape::config2(), 64, true),
+        );
+        system.run(built.max_steps).expect("runs");
+        let total = system.total_instructions();
+        assert_eq!(w.retired, system.machine().stats.instructions);
+        assert!(total > w.retired, "crc32 must retire work on the array");
+        assert_eq!(w.host.sim_mips, sim_mips(total, w.host.wall_nanos_min));
+    }
 }
